@@ -418,7 +418,7 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
     report.elapsed_s = time.perf_counter() - start
 
     if store == "rw" and report.results:
-        from repro.schedule.store import StoredSchedule
+        from repro.schedule.store import StoredSchedule, generator_digest
         best = report.best(parallel=True)
         best_index = next(i for i, r in measured if r is best)
         info = infos.get(best_index)
@@ -429,5 +429,6 @@ def autotune(outputs, estimates: Mapping, param_values: Mapping,
         sched_store.publish(StoredSchedule(
             pipeline=digest, fingerprint=fingerprint,
             options=best.config.options().to_dict(), hints=hints_doc,
-            tune_result=best.to_dict(), artifact=artifact))
+            tune_result=best.to_dict(), artifact=artifact,
+            generator=generator_digest()))
     return report

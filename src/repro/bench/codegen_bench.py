@@ -19,6 +19,11 @@ figure is the **median** over the remaining runs — robust against the
 occasional scheduler hiccup that poisons a mean.  Bit-identity of the
 two variants' outputs is asserted as part of the run.
 
+Each app's record also carries ``thread_speedup``: the specialized
+build at one thread against ``--threads``, interleaved the same way, as
+the ratio of the two medians.  It is recorded, not gated — single-shot
+scaling verdicts flip between identical runs on a loaded machine.
+
 With ``--throughput`` a sustained frames/sec figure (after warm-up) is
 measured as well — the view that rewards removing per-call overheads
 such as scratch allocation, which single-shot latency can hide.
@@ -79,6 +84,18 @@ def _time_once(fn) -> float:
     t0 = time.perf_counter()
     fn()
     return (time.perf_counter() - t0) * 1000.0
+
+
+def _interleaved_ms(fns, runs: int) -> list[list[float]]:
+    """Time ``fns`` round-robin ``runs + 1`` times; the first round is
+    warm-up and dropped.  One list of times (ms) per function."""
+    times: list[list[float]] = [[] for _ in fns]
+    for i in range(runs + 1):
+        for out, fn in zip(times, fns):
+            ms = _time_once(fn)
+            if i:
+                out.append(ms)
+    return times
 
 
 def _scratch_bytes(plan) -> int:
@@ -172,16 +189,18 @@ def bench_app(name: str, scale: str, runs: int, n_threads: int,
         np.array_equal(want, run_nar()[out_name]))
 
     # interleaved A/B(/C) timing; first round is warm-up
-    on_ms, off_ms, nar_ms = [], [], []
-    for i in range(runs + 1):
-        a = _time_once(run_on)
-        b = _time_once(run_off)
-        c = _time_once(run_nar) if narrow_timed else a
-        if i == 0:
-            continue
-        on_ms.append(a)
-        off_ms.append(b)
-        nar_ms.append(c)
+    on_ms, off_ms, *nar = _interleaved_ms(
+        [run_on, run_off] + ([run_nar] if narrow_timed else []), runs)
+    nar_ms = nar[0] if nar else on_ms
+
+    # thread scaling of the specialized build: one thread against
+    # n_threads, interleaved the same way
+    def run_one():
+        return native_on(instance.values, instance.inputs, n_threads=1)
+
+    one_ms, many_ms = _interleaved_ms([run_one, run_on], runs)
+    median_one = float(np.median(one_ms))
+    median_many = float(np.median(many_ms))
 
     median_on = float(np.median(on_ms))
     median_off = float(np.median(off_ms))
@@ -200,6 +219,10 @@ def bench_app(name: str, scale: str, runs: int, n_threads: int,
         "times_on_ms": on_ms,
         "times_off_ms": off_ms,
         "outputs_identical": identical,
+        # median 1-thread time over median n_threads time
+        "median_1thread_ms": median_one,
+        "thread_speedup":
+            median_one / median_many if median_many > 0 else 0.0,
         "uses_arena": native_on.has_arena,
         # precision narrowing (CompileOptions.narrow) on top of the
         # specialized variant: per-thread scratch arena bytes, the
@@ -269,10 +292,11 @@ def run_bench(apps: list[str], scale: str, runs: int, n_threads: int,
         print(f"[codegen_bench] wrote {json_path}", file=out)
 
     headers = ["app", "legacy ms", "specialized ms", "speedup",
-               "identical"]
+               "identical", f"1 vs {n_threads} threads"]
     rows = [[r["app"], r["median_off_ms"], r["median_on_ms"],
              f'{r["speedup"]:.2f}x',
-             "yes" if r["outputs_identical"] else "NO"]
+             "yes" if r["outputs_identical"] else "NO",
+             f'{r["thread_speedup"]:.2f}x']
             for r in records]
     if throughput:
         headers += ["legacy fps", "specialized fps"]

@@ -699,17 +699,25 @@ def _hints_dict(plan: PipelinePlan) -> dict | None:
     return plan.hints.to_dict() if plan.hints is not None else None
 
 
+def _schedule_matches(entry, plan: PipelinePlan) -> bool:
+    """The stored entry records exactly this plan's schedule."""
+    return (entry.compile_options() == plan.options
+            and (entry.hints or None) == (_hints_dict(plan) or None))
+
+
 def _try_store_load(plan: PipelinePlan, name: str, *, entry,
                     vectorize: bool, instrument: bool,
                     cache: CompileCache) -> NativePipeline | None:
-    """Load the stored artifact if it matches this plan's schedule and
-    build configuration — the cold-start fast path: no ``generate_c``,
-    no compiler invocation, just a ``dlopen`` of the published ``.so``."""
+    """Load the stored artifact if it matches this plan's schedule,
+    build configuration and the current code generator — the cold-start
+    fast path: no ``generate_c``, no compiler invocation, just a
+    ``dlopen`` of the published ``.so``."""
+    from repro.schedule.store import generator_digest
     if entry is None or entry.artifact is None:
         return None
-    if entry.compile_options() != plan.options:
+    if entry.generator != generator_digest():
         return None
-    if (entry.hints or None) != (_hints_dict(plan) or None):
+    if not _schedule_matches(entry, plan):
         return None
     if bool(entry.artifact.get("vectorize", True)) != bool(vectorize):
         return None
@@ -742,18 +750,20 @@ def build_native(plan: PipelinePlan, name: str = "pipeline",
     (:mod:`repro.schedule`) before compiling: when the store holds an
     entry for this pipeline (content digest) on this machine
     (fingerprint) whose schedule and build configuration match the
-    plan's, the published artifact is loaded directly — no codegen, no
-    compiler invocation (``native.loaded_from_store`` is True).  With
-    ``"rw"`` a fresh build additionally publishes its artifact
-    coordinates, unless a tuned entry already exists (autotune winners
-    are never clobbered by untimed builds).  ``store_root`` overrides
+    plan's, and which was generated by the current code generator, the
+    published artifact is loaded directly — no codegen, no compiler
+    invocation (``native.loaded_from_store`` is True).  With ``"rw"`` a
+    fresh build additionally publishes its artifact coordinates, unless
+    a tuned entry already exists (autotune winners are never clobbered
+    by untimed builds; a tuned entry with a stale artifact keeps its
+    tuning and gets the fresh artifact).  ``store_root`` overrides
     the store directory (default: ``<cache root>/schedules``)."""
     if store not in (None, "ro", "rw"):
         raise ValueError(f"store must be None, 'ro' or 'rw', got {store!r}")
     entry = None
     if store is not None:
         from repro.schedule.store import (
-            StoredSchedule, machine_fingerprint,
+            StoredSchedule, generator_digest, machine_fingerprint,
         )
         if cache is None:
             cache = get_cache(cache_dir)
@@ -770,14 +780,18 @@ def build_native(plan: PipelinePlan, name: str = "pipeline",
                             cache_dir=cache_dir, extra_flags=extra_flags,
                             cache=cache)
     native = load_native(plan, name, info)
-    if store == "rw" and (entry is None or entry.tune_result is None):
+    # a tuned entry is only replaced to refresh its stale artifact
+    if store == "rw" and (
+            entry is None or entry.tune_result is None
+            or (entry.generator != generator_digest()
+                and _schedule_matches(entry, plan))):
         sched_store.publish(StoredSchedule(
             pipeline=digest, fingerprint=fingerprint,
             options=plan.options.to_dict(), hints=_hints_dict(plan),
             tune_result=entry.tune_result if entry is not None else None,
             artifact={"key": info.key, "vectorize": bool(vectorize),
                       "instrument": bool(instrument)},
-            created=time.time()))
+            created=time.time(), generator=generator_digest()))
     return native
 
 

@@ -3,8 +3,10 @@
 Emits a single C function implementing the compiled pipeline.  The
 generated code has the same structure as the paper's Figure 7:
 
-* an OpenMP-parallel loop over the leading tile dimension of each tiled
-  group, with tile-local scratchpad allocations at the top of its body;
+* an OpenMP-parallel loop over the tiles of each tiled group (all of
+  its tile dimensions, collapsed — the paper parallelizes the leading
+  one, which leaves a channel-first group a single tile), with
+  per-thread scratchpads bound at the top of the parallel region;
 * per-stage loop nests whose bounds are clamped intersections of the tile
   region with each case's bound constraints (``max(1, 32*Ti)`` style);
 * relative (tile-origin) indexing into scratchpads, absolute indexing
@@ -839,11 +841,15 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
         if fast is not None:
             innermost_id = id(stage_ir.variables[-1]) if n else None
             ctx = opt.FastBody(fast, innermost_id)
-        # open the outer loops first so hoisted offsets see their vars
+        # open the outer loops first so hoisted offsets see their vars;
+        # they are perfectly nested over fixed bounds, so a parallel
+        # nest shares out all of them (a 3-row channel loop alone
+        # would leave most of the team idle)
         for d in range(n - 1):
             v = loop_vars[d]
             if d == 0 and parallel:
-                w.emit("#pragma omp parallel for")
+                collapse = f" collapse({n - 1})" if n > 2 else ""
+                w.emit(f"#pragma omp parallel for{collapse}")
             w.open(f"for (long {v} = c{d}lb; {v} <= c{d}ub; {v}++)")
         # render store/value before the innermost loop so the fast body
         # context collects its hoisted offsets and CSE'd loads
@@ -1121,9 +1127,12 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
                 ctype = self._stage_ctype(stage)
                 w.emit(f"{ctype}* {self.scratch(stage)} = "
                        f"({ctype}*)malloc({total} * sizeof({ctype}));")
-        w.emit("#pragma omp for schedule(dynamic)")
-        w.open(f"for (long T0 = T0f; T0 <= T0l; T0++)")
-        for g in range(1, ndim):
+        # the tile loops are perfectly nested over bounds fixed before
+        # the region, so the whole rectangular tile space is shared out
+        # (a channel-first group has a single T0 tile)
+        collapse = f" collapse({ndim})" if ndim > 1 else ""
+        w.emit(f"#pragma omp for schedule(dynamic){collapse}")
+        for g in range(ndim):
             w.open(f"for (long T{g} = T{g}f; T{g} <= T{g}l; T{g}++)")
         for g in range(ndim):
             tau = gp.tile_sizes[g]
@@ -1138,9 +1147,8 @@ NativePipeline` reads back through ctypes.  Uninstrumented output is
         for stage in gp.ordered_stages:
             self._emit_tiled_stage_body(gp, ir[stage])
 
-        for g in range(1, ndim):
+        for g in range(ndim):
             w.close()
-        w.close()  # T0
         if not use_arena:
             for stage in scratch_stages:
                 w.emit(f"free({self.scratch(stage)});")

@@ -71,6 +71,17 @@ class GroupPlan:
         return tuple(IntInterval(math.floor(l), math.ceil(h))
                      for l, h in zip(los, his))
 
+    def tile_counts(self, ir: PipelineIR,
+                    param_env: Mapping[Hashable, int]
+                    ) -> tuple[int, ...] | None:
+        """Tiles per group dimension; their product is the number of
+        tiles the generated code shares out across the thread team."""
+        space = self.tile_space(ir, param_env)
+        if space is None:
+            return None
+        return tuple(iv.hi // tau - iv.lo // tau + 1
+                     for iv, tau in zip(space, self.tile_sizes))
+
     def tiles(self, ir: PipelineIR, param_env: Mapping[Hashable, int]):
         """Iterate over tile boxes (group coordinates) covering the group."""
         space = self.tile_space(ir, param_env)
@@ -155,22 +166,28 @@ class PipelinePlan:
         return tuple(widths)
 
     def _group_line(self, i: int, gp: GroupPlan) -> str:
+        counts = None
         if gp.is_tiled:
             tiles = "x".join(str(t) for t in gp.tile_sizes)
             halo = ",".join(_fmt_fraction(w)
                             for w in self.group_halo_widths(gp))
             kind = f"tiled {tiles}, halo {halo or '0'}"
+            counts = gp.tile_counts(self.ir, self.estimates)
         else:
             kind = "untiled"
         scratch = [s.name for s in gp.ordered_stages
                    if self.storage[s].kind == SCRATCH]
-        return (f"  group {i} [{kind}] stages: "
+        line = (f"  group {i} [{kind}] stages: "
                 f"{', '.join(s.name for s in gp.ordered_stages)}"
                 + (f" | scratch: {', '.join(scratch)}" if scratch else ""))
+        if counts is not None:
+            line += (f"\n    parallel tiles: {math.prod(counts)} "
+                     f"({'x'.join(str(c) for c in counts)})")
+        return line
 
     def summary(self) -> str:
-        """Human-readable description of groups (with their tile sizes and
-        halo widths), storage and inlining."""
+        """Human-readable description of groups (with their tile sizes,
+        halo widths and parallel tile counts), storage and inlining."""
         lines = [f"pipeline: {len(self.ir.stages)} stages, "
                  f"{len(self.group_plans)} groups "
                  f"(inlined: {', '.join(self.inlined_names) or 'none'})"]

@@ -24,7 +24,10 @@ winner, never a torn file).  Each entry records the winning
 :class:`~repro.schedule.ScheduleHints` in force, and the compile-cache
 key of the published artifact — enough for a cold process to rebuild
 the exact plan and ``dlopen`` the existing binary without invoking the
-C compiler or re-running the sweep.
+C compiler or re-running the sweep.  The entry also records the
+:func:`generator_digest` of the code generator that emitted the
+artifact: a warm process whose generator differs treats the artifact as
+a miss and rebuilds it, so a codegen change always reaches a warm fleet.
 """
 
 from __future__ import annotations
@@ -150,6 +153,21 @@ def fingerprint_digest(fingerprint: Mapping) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+@lru_cache(maxsize=1)
+def generator_digest() -> str:
+    """SHA-256 over the C generator's sources (``cgen`` and ``opt``).
+
+    A stored artifact records the digest it was generated under; one
+    recorded under different (or unknown) generator code is stale and
+    is rebuilt rather than loaded."""
+    from repro.codegen import cgen, opt
+
+    h = hashlib.sha256()
+    for module in (cgen, opt):
+        h.update(Path(module.__file__).read_bytes())
+    return h.hexdigest()[:16]
+
+
 # ---------------------------------------------------------------------------
 # Store entries
 # ---------------------------------------------------------------------------
@@ -169,6 +187,8 @@ class StoredSchedule:
     artifact: dict | None = None
     created: float = 0.0
     version: int = STORE_VERSION
+    #: :func:`generator_digest` the artifact was generated under
+    generator: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -181,6 +201,7 @@ class StoredSchedule:
                             if self.tune_result else None),
             "artifact": dict(self.artifact) if self.artifact else None,
             "created": self.created,
+            "generator": self.generator,
         }
 
     @classmethod
@@ -192,7 +213,8 @@ class StoredSchedule:
                    tune_result=doc.get("tune_result"),
                    artifact=doc.get("artifact"),
                    created=float(doc.get("created", 0.0)),
-                   version=int(doc.get("version", STORE_VERSION)))
+                   version=int(doc.get("version", STORE_VERSION)),
+                   generator=doc.get("generator"))
 
     def compile_options(self):
         from repro.compiler.options import CompileOptions

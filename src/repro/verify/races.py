@@ -1,13 +1,17 @@
 """Parallel race detection (``RV3xx``).
 
-The inter-tile loop of every tiled group runs under ``#pragma omp for``;
-its legality rests on two facts this module proves independently:
+The whole tile space of every tiled group runs under one
+``#pragma omp for ... collapse(ndim)``: any thread may run any tile, in
+any order, not only the tiles of one leading-dimension row.  Its
+legality rests on two facts this module proves independently:
 
 * tiles *partition* each live-out's index space — with ownership defined
   by rational containment (``scale * x`` inside the tile's group range),
   adjacent tiles must neither own the same cell (``RV301``, a write
   race) nor leave an in-domain cell unowned (``RV303``, a cell the
-  parallel loop never writes);
+  parallel loop never writes).  Both are checked at tile boundaries of
+  *every* group dimension, which is what makes sharing out all of the
+  tile loops, not just the outermost, legal;
 * shared mutable state in the generated C (the ``static`` stats
   accumulators of ``instrument`` mode) is only written under
   ``#pragma omp atomic`` inside parallel regions (``RV302``) —

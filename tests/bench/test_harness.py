@@ -139,3 +139,20 @@ def test_paper_table2_reference_values():
     assert PAPER_TABLE2["harris"]["t16_ms"] == 18.69
     assert PAPER_TABLE2["local_laplacian"]["stages"] == 99
     assert PAPER_TABLE2["camera"]["speedup_htuned"] == 1.04
+
+
+def test_codegen_bench_records_thread_speedup(tmp_path):
+    from repro.bench import codegen_bench
+    from repro.codegen.build import compiler_available
+
+    if not compiler_available():
+        pytest.skip("no C compiler found")
+    out = io.StringIO()
+    doc = codegen_bench.run_bench(["iunsharp"], "tiny", runs=2,
+                                  n_threads=2,
+                                  json_path=tmp_path / "cg.json",
+                                  throughput=False, out=out)
+    [row] = doc["apps"]
+    assert row["thread_speedup"] > 0.0
+    assert row["median_1thread_ms"] > 0.0
+    assert "1 vs 2 threads" in out.getvalue()

@@ -1,11 +1,13 @@
 """Structural tests on generated C (Figure 7 shape)."""
 
+import re
 from dataclasses import replace
 
 import pytest
 
 from repro import CompileOptions, compile_pipeline
 from repro.apps import harris as harris_app
+from repro.bench.harness import DEFAULT_TILES, SMALL_BUILDERS
 from repro.codegen.cgen import generate_c
 
 
@@ -37,15 +39,75 @@ def test_signature(harris_source):
 
 
 def test_parallel_tile_loop(harris_source):
-    """Figure 7: the outermost tile dimension is work-shared; scratchpads
-    are bound once per thread inside the parallel region."""
+    """Figure 7: the tile loops are work-shared (both of harris's tile
+    dimensions, collapsed); scratchpads are bound once per thread
+    inside the parallel region."""
     assert "#pragma omp parallel" in harris_source
-    assert "#pragma omp for schedule(dynamic)" in harris_source
+    assert "#pragma omp for schedule(dynamic) collapse(2)" in harris_source
     assert "for (long T0 = T0f; T0 <= T0l; T0++)" in harris_source
     assert "for (long T1 = T1f; T1 <= T1l; T1++)" in harris_source
     # arena binding happens before the work-shared loop (per thread)
     region = harris_source.split("#pragma omp parallel")[1]
     assert region.index("repro_arena_get") < region.index("#pragma omp for")
+
+
+def _tile_loop_nests(source: str) -> list[tuple[str, int]]:
+    """(pragma, depth) for every work-shared tile loop: ``depth`` counts
+    the ``T0, T1, ...`` loops that directly follow the pragma, one per
+    line with nothing in between."""
+    lines = [line.strip() for line in source.splitlines()]
+    nests = []
+    for i, line in enumerate(lines):
+        if not line.startswith("#pragma omp for"):
+            continue
+        depth = 0
+        while lines[i + 1 + depth] == (
+                f"for (long T{depth} = T{depth}f; T{depth} <= T{depth}l; "
+                f"T{depth}++) {{"):
+            depth += 1
+        nests.append((line, depth))
+    return nests
+
+
+@pytest.mark.parametrize("specialize", [True, False])
+@pytest.mark.parametrize("name", sorted(SMALL_BUILDERS))
+def test_whole_tile_space_is_work_shared(name, specialize):
+    """Every tiled group shares out its whole tile space: the pragma
+    collapses all ``ndim`` perfectly nested tile loops, so a group whose
+    leading dimension is a 3-wide colour channel is not left with a
+    single ``T0`` tile for the whole team."""
+    app = SMALL_BUILDERS[name]()
+    est = {app.params["R"]: 128, app.params["C"]: 128}
+    options = replace(CompileOptions.optimized(DEFAULT_TILES[name]),
+                      specialize=specialize, simd=specialize)
+    compiled = compile_pipeline(app.outputs, est, options, name=name)
+    ndims = [gp.transforms.ndim for gp in compiled.plan.group_plans
+             if gp.is_tiled]
+    nests = _tile_loop_nests(compiled.c_source())
+    # the single-frame and the batch entry share the group bodies
+    assert sorted(depth for _, depth in nests) == sorted(ndims * 2)
+    for pragma, depth in nests:
+        collapse = f" collapse({depth})" if depth > 1 else ""
+        assert pragma == f"#pragma omp for schedule(dynamic){collapse}"
+
+
+def test_untiled_nests_collapse_outer_loops():
+    """A full-buffer 3-D stage shares out both outer loops (channel and
+    row); the innermost loop stays the vector loop."""
+    app = SMALL_BUILDERS["unsharp"]()
+    est = {app.params["R"]: 128, app.params["C"]: 128}
+    compiled = compile_pipeline(app.outputs, est, CompileOptions.base(),
+                                name="ubase")
+    src = compiled.c_source()
+    pragmas = re.findall(r"#pragma omp parallel for.*", src)
+    assert pragmas
+    assert set(pragmas) == {"#pragma omp parallel for collapse(2)"}
+    # the two collapsed loops are perfectly nested under the pragma
+    lines = [line.strip() for line in src.splitlines()]
+    for i, line in enumerate(lines):
+        if line.startswith("#pragma omp parallel for"):
+            assert lines[i + 1].startswith("for (long i0 = c0lb;")
+            assert lines[i + 2].startswith("for (long i1 = c1lb;")
 
 
 def test_parallel_tile_loop_legacy_malloc(harris_legacy_source):

@@ -4,11 +4,14 @@ Skipped entirely when no C compiler is available (the instrument flag
 itself is still exercised at the source level).
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import CompileOptions, Tracer, compile_pipeline
 from repro.apps import harris as harris_app
+from repro.bench.harness import SMALL_BUILDERS
 from repro.codegen.build import (
     NativeStats, build_native, compiler_available,
 )
@@ -83,6 +86,25 @@ def test_instrumented_build_fills_last_stats(harris):
     ref = compiled(values, inputs)
     for k in ref:
         np.testing.assert_allclose(out[k], ref[k], rtol=2e-4, atol=2e-5)
+
+
+@needs_cc
+def test_tile_counters_match_planned_tile_space():
+    """The collapsed tile loop runs every tile of the space exactly once
+    across the team: the counted tiles equal the ``parallel tiles``
+    total that ``summary()`` reports for each tiled group."""
+    app = SMALL_BUILDERS["unsharp"]()
+    values = {app.params["R"]: 128, app.params["C"]: 128}
+    compiled = compile_pipeline(app.outputs, values,
+                                CompileOptions.optimized((4, 32, 64)),
+                                name="inst_unsharp")
+    plan = compiled.plan
+    native = build_native(plan, "inst_unsharp", instrument=True)
+    native(values, app.make_inputs(values, np.random.default_rng(0)),
+           n_threads=2)
+    want = [math.prod(gp.tile_counts(plan.ir, plan.estimates))
+            if gp.is_tiled else 0 for gp in plan.group_plans]
+    assert list(native.last_stats.group_tiles) == want
 
 
 @needs_cc

@@ -5,11 +5,14 @@ C backend; results must agree to floating tolerance.  Skipped entirely
 when no C compiler is available.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import CompileOptions, compile_pipeline
 from repro.apps import harris as harris_app
+from repro.bench.harness import SMALL_BUILDERS
 from repro.codegen.build import build_native, compiler_available
 from repro.lang import (
     Accumulate, Accumulator, Case, Cast, Condition, Float, Function, Image,
@@ -168,3 +171,68 @@ def test_native_different_sizes_same_binary():
         expected = app.reference(inputs, values)["harris"]
         out = native(values, inputs)["harris"]
         np.testing.assert_allclose(out, expected, rtol=2e-4, atol=2e-5)
+
+
+#: channel-first apps and tiles whose leading tile covers the whole
+#: channel dimension: a single ``T0`` tile, the rest of the tile space
+#: spread over the team
+CHANNEL_FIRST_TILES = {
+    "unsharp": (4, 32, 64),
+    "camera": (32, 64, 32),
+    "pyramid_blend": (8, 32, 64),
+    "interpolate": (8, 32, 64),
+    "local_laplacian": (8, 32, 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_FIRST_TILES))
+def test_outputs_identical_across_thread_counts(name):
+    """Whichever thread runs a tile, the bytes it writes are the same:
+    single calls and batches agree exactly at 1, 2 and 3 threads."""
+    app = SMALL_BUILDERS[name]()
+    values = {app.params["R"]: 128, app.params["C"]: 128}
+    compiled = compile_pipeline(
+        app.outputs, values,
+        CompileOptions.optimized(CHANNEL_FIRST_TILES[name]),
+        name=f"nat_threads_{name}")
+    plan = compiled.plan
+    channel_groups = [gp.tile_counts(plan.ir, plan.estimates)
+                      for gp in plan.group_plans
+                      if gp.is_tiled and gp.transforms.ndim == 3]
+    assert channel_groups
+    for counts in channel_groups:
+        assert counts[0] == 1 and math.prod(counts) >= 2, counts
+
+    native = build_native(plan, f"nat_threads_{name}")
+    frames = [app.make_inputs(values, np.random.default_rng(seed))
+              for seed in (1, 2)]
+    single = {n: native(values, frames[0], n_threads=n) for n in (1, 2, 3)}
+    batch = {n: native.run_batch(values, frames, n_threads=n)
+             for n in (1, 2, 3)}
+    want = single[1]
+    for n in (2, 3):
+        for out in want:
+            assert single[n][out].tobytes() == want[out].tobytes(), (n, out)
+    for n in (1, 2, 3):
+        for out in want:
+            assert batch[n][0][out].tobytes() == want[out].tobytes(), \
+                (n, out)
+            assert batch[n][1][out].tobytes() == \
+                batch[1][1][out].tobytes(), (n, out)
+
+
+def test_untiled_collapsed_nests_match_interpreter():
+    """The base variant's 3-D full-buffer stages run their collapsed
+    channel x row loops in parallel and still match the interpreter."""
+    app = SMALL_BUILDERS["unsharp"]()
+    values = {app.params["R"]: 37, app.params["C"]: 53}
+    inputs = app.make_inputs(values, RNG)
+    compiled = compile_pipeline(app.outputs, values, CompileOptions.base(),
+                                name="nat_unsharp_base")
+    interp = compiled(values, inputs)
+    native = build_native(compiled.plan, "nat_unsharp_base")
+    for n in (1, 2, 3):
+        nat = native(values, inputs, n_threads=n)
+        for out in interp:
+            np.testing.assert_allclose(nat[out], interp[out],
+                                       rtol=1e-5, atol=1e-6)

@@ -53,6 +53,27 @@ def test_harris_explain_golden(harris):
     assert "overlap within threshold" in text
 
 
+# -- golden: parallel tile count ----------------------------------------------
+
+def test_unsharp_parallel_tiles_golden():
+    """The tiles the generated code shares out, per group dimension:
+    unsharp's colour channel is a single tile at 4x32x256, so all of
+    the parallelism is in the other two dimensions."""
+    unsharp = _compile("unsharp", size=512)
+    for text in (unsharp.summary(), unsharp.explain()):
+        lines = text.splitlines()
+        i = next(i for i, l in enumerate(lines)
+                 if l.startswith("  group 0 [tiled 4x32x256"))
+        assert lines[i + 1] == "    parallel tiles: 51 (1x17x3)", text
+
+
+def test_pyramid_parallel_tiles_golden(pyramid):
+    # blended's domain is [0, R] x [0, C]: at 256 the last row and
+    # column start a fifth row tile and a second column tile; the
+    # 3-wide channel dimension is one tile
+    assert "    parallel tiles: 10 (1x5x2)" in pyramid.summary().splitlines()
+
+
 # -- golden: pyramid_blend ---------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 fingerprints, atomic publish/lookup, and the build/autotune fast paths."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from repro.compiler.options import CompileOptions
 from repro.compiler.plan import compile_plan
 from repro.schedule.store import (
     STORE_VERSION, ScheduleStore, StoredSchedule, canonical_pipeline_dump,
-    fingerprint_digest, machine_fingerprint, pipeline_digest,
+    fingerprint_digest, generator_digest, machine_fingerprint,
+    pipeline_digest,
 )
 
 needs_cc = pytest.mark.skipif(not compiler_available(),
@@ -85,7 +87,7 @@ def test_stored_schedule_round_trip():
                                 "time_parallel_ms": 1.5},
                    artifact={"key": "k", "vectorize": True,
                              "instrument": False},
-                   created=123.0)
+                   created=123.0, generator="0123456789abcdef")
     again = StoredSchedule.from_dict(entry.to_dict())
     assert again == entry
     assert again.compile_options() == CompileOptions.optimized((16, 16))
@@ -216,6 +218,51 @@ def test_store_ro_never_publishes(tmp_path):
     _, _, plan = _plan()
     build_native(plan, "ro_only", cache_dir=tmp_path, store="ro")
     assert ScheduleStore(tmp_path / "schedules").entries() == []
+
+
+@needs_cc
+@pytest.mark.parametrize("stale", ["0" * 16, None])
+def test_store_stale_generator_is_a_miss(tmp_path, stale):
+    """An artifact generated by other (or unrecorded) generator code is
+    never dlopen'd from the store; a read-only store keeps the entry."""
+    _, _, plan = _plan()
+    build_native(plan, "gen_ro", cache_dir=tmp_path, store="rw")
+    store = ScheduleStore(tmp_path / "schedules")
+    [entry] = store.entries()
+    assert entry.generator == generator_digest()
+    store.publish(replace(entry, generator=stale))
+
+    _, _, plan2 = _plan()
+    rebuilt = build_native(plan2, "gen_ro", cache_dir=tmp_path, store="ro")
+    assert rebuilt.loaded_from_store is False
+    [kept] = store.entries()
+    assert kept.generator == stale
+
+
+@needs_cc
+def test_store_rw_republishes_stale_generator(tmp_path):
+    """``store="rw"`` rebuilds a stale artifact and republishes the
+    entry under the current generator, keeping its tuning result."""
+    _, _, plan = _plan()
+    build_native(plan, "gen_rw", cache_dir=tmp_path, store="rw")
+    store = ScheduleStore(tmp_path / "schedules")
+    [entry] = store.entries()
+    tuned = {"tile_sizes": [16, 16], "overlap_threshold": 0.4,
+             "time_parallel_ms": 1.0}
+    store.publish(replace(entry, generator="0" * 16, tune_result=tuned,
+                          artifact=dict(entry.artifact, key="f" * 32)))
+
+    _, _, plan2 = _plan()
+    native = build_native(plan2, "gen_rw", cache_dir=tmp_path, store="rw")
+    assert native.loaded_from_store is False
+    [fresh] = store.entries()
+    assert fresh.generator == generator_digest()
+    assert fresh.artifact["key"] == native.build_info.key
+    assert fresh.tune_result == tuned
+
+    _, _, plan3 = _plan()
+    warm = build_native(plan3, "gen_rw", cache_dir=tmp_path, store="ro")
+    assert warm.loaded_from_store is True
 
 
 def test_build_native_rejects_bad_store_mode():
